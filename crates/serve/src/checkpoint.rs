@@ -13,14 +13,21 @@
 //! post-restore epoch re-derives it (reported `rows_patched` is the one
 //! counter allowed to differ).
 //!
-//! ## Wire layout (version 1)
+//! ## Wire layout (version 2)
 //!
 //! ```text
 //! magic   b"SCPK"                      (4 bytes)
-//! version u32 little-endian            (currently 1)
+//! version u32 little-endian            (currently 2)
 //! payload                              (engine state, see below)
-//! checksum u64 little-endian           (FNV-1a over magic..payload)
+//! checksum u64 little-endian           (CRC-32 over magic..payload,
+//!                                       zero-extended; high half is 0)
 //! ```
+//!
+//! The checksum is [`scope_wal::crc32`], the same function (IEEE
+//! polynomial, zlib parameters) that frames every `scope-wal` record and
+//! checkpoint object, so the snapshot path has one checksum. It sits in
+//! an 8-byte slot so the layout keeps version 1's offsets and size;
+//! a reader rejects a trailer whose high four bytes are not zero.
 //!
 //! Everything is little-endian. `f64`s are stored as their raw IEEE-754
 //! bits (so NaN payloads and signed zeros round-trip exactly); strings are
@@ -33,13 +40,17 @@
 //!
 //! ## Versioning rules
 //!
-//! The version is bumped on **any** layout change; readers reject versions
-//! they do not know (no silent best-effort decodes). Corruption anywhere —
+//! The version is bumped on **any** layout change, including a change of
+//! checksum; readers reject versions they do not know (no silent
+//! best-effort decodes). The version is read before the checksum is
+//! checked, so a version-1 checkpoint (FNV-1a trailer) is reported as an
+//! unsupported version rather than as corruption. Corruption anywhere —
 //! flipped bits, truncation, trailing garbage — fails the checksum or a
 //! bounds check and surfaces as a typed error, never a panic.
 
 use scope_cloudsim::TierCatalog;
 use scope_optassign::CompressionOption;
+use scope_wal::crc32;
 
 use crate::error::ServeError;
 
@@ -47,12 +58,13 @@ use crate::error::ServeError;
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"SCPK";
 
 /// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a 64-bit digest of `bytes`.
+/// FNV-1a 64-bit digest of `bytes`: the configuration fingerprint's
+/// identity digest, not an integrity check (that is the CRC trailer).
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = FNV_OFFSET;
     for &b in bytes {
@@ -99,8 +111,8 @@ impl Writer {
 
     /// Append the trailing checksum and return the finished bytes.
     pub(crate) fn finish(mut self) -> Vec<u8> {
-        let checksum = fnv1a(&self.buf);
-        self.u64(checksum);
+        let checksum = crc32(&self.buf);
+        self.u64(u64::from(checksum));
         self.buf
     }
 }
@@ -112,8 +124,9 @@ pub(crate) struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    /// Validate magic, version and checksum; return a reader positioned at
-    /// the start of the payload (the checksum trailer is excluded).
+    /// Validate magic, version and checksum, in that order; return a
+    /// reader positioned at the start of the payload (the checksum
+    /// trailer is excluded).
     pub(crate) fn open(bytes: &'a [u8]) -> Result<Self, ServeError> {
         let header = CHECKPOINT_MAGIC.len() + 4;
         if bytes.len() < header + 8 {
@@ -127,16 +140,7 @@ impl<'a> Reader<'a> {
                 "bad magic: not a serve checkpoint".into(),
             ));
         }
-        let body = &bytes[..bytes.len() - 8];
-        let mut trailer = [0u8; 8];
-        trailer.copy_from_slice(&bytes[bytes.len() - 8..]);
-        let stored = u64::from_le_bytes(trailer);
-        let actual = fnv1a(body);
-        if stored != actual {
-            return Err(ServeError::Checkpoint(format!(
-                "checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
-            )));
-        }
+        let (body, trailer) = bytes.split_at(bytes.len() - 8);
         let mut reader = Reader {
             bytes: body,
             pos: CHECKPOINT_MAGIC.len(),
@@ -145,6 +149,20 @@ impl<'a> Reader<'a> {
         if version != CHECKPOINT_VERSION {
             return Err(ServeError::Checkpoint(format!(
                 "unsupported version {version} (this build reads {CHECKPOINT_VERSION})"
+            )));
+        }
+        let mut slot = [0u8; 8];
+        slot.copy_from_slice(trailer);
+        let stored = u64::from_le_bytes(slot);
+        if stored >> 32 != 0 {
+            return Err(ServeError::Checkpoint(format!(
+                "checksum slot {stored:#018x} has a non-zero high half"
+            )));
+        }
+        let actual = crc32(body);
+        if stored != u64::from(actual) {
+            return Err(ServeError::Checkpoint(format!(
+                "checksum mismatch: stored {stored:#010x}, computed {actual:#010x}"
             )));
         }
         Ok(reader)
@@ -263,6 +281,12 @@ mod tests {
         w.str("héllo");
         let bytes = w.finish();
 
+        // The trailer is the body's CRC-32, zero-extended to a u64.
+        let (body, trailer) = bytes.split_at(bytes.len() - 8);
+        assert_eq!(body[4..8], CHECKPOINT_VERSION.to_le_bytes());
+        assert_eq!(trailer[..4], crc32(body).to_le_bytes());
+        assert_eq!(trailer[4..], [0, 0, 0, 0]);
+
         let mut r = Reader::open(&bytes).unwrap();
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u32().unwrap(), 0xdead_beef);
@@ -271,6 +295,15 @@ mod tests {
         assert_eq!(r.f64_bits().unwrap().to_bits(), f64::NAN.to_bits());
         assert_eq!(r.str().unwrap(), "héllo");
         r.expect_end().unwrap();
+    }
+
+    /// The message of the typed error `Reader::open` must return.
+    fn rejection(bytes: &[u8]) -> String {
+        match Reader::open(bytes) {
+            Err(ServeError::Checkpoint(msg)) => msg,
+            Err(other) => panic!("expected a checkpoint error, got {other:?}"),
+            Ok(_) => panic!("expected a checkpoint error, got a reader"),
+        }
     }
 
     #[test]
@@ -282,37 +315,46 @@ mod tests {
         // Flip one payload bit: checksum must catch it.
         let mut flipped = good.clone();
         flipped[9] ^= 0x40;
-        assert!(matches!(
-            Reader::open(&flipped),
-            Err(ServeError::Checkpoint(_))
-        ));
+        assert!(rejection(&flipped).contains("checksum mismatch"));
 
         // Truncation (drops the trailer or part of it).
         for cut in [0, 3, good.len() - 1] {
-            assert!(matches!(
-                Reader::open(&good[..cut]),
-                Err(ServeError::Checkpoint(_))
-            ));
+            rejection(&good[..cut]);
         }
 
         // Wrong magic.
         let mut magic = good.clone();
         magic[0] = b'X';
-        assert!(matches!(
-            Reader::open(&magic),
-            Err(ServeError::Checkpoint(_))
-        ));
+        assert!(rejection(&magic).contains("bad magic"));
 
         // Unknown version (re-checksummed so only the version check fires).
         let mut vers = good.clone();
         vers[4] = 99;
         let body_len = vers.len() - 8;
-        let sum = fnv1a(&vers[..body_len]).to_le_bytes();
+        let sum = u64::from(crc32(&vers[..body_len])).to_le_bytes();
         vers[body_len..].copy_from_slice(&sum);
-        assert!(matches!(
-            Reader::open(&vers),
-            Err(ServeError::Checkpoint(_))
-        ));
+        assert!(rejection(&vers).contains("unsupported version 99"));
+
+        // A non-zero high half in the checksum slot, with the right CRC
+        // still in the low half.
+        for byte in good.len() - 4..good.len() {
+            let mut high = good.clone();
+            high[byte] = 0x01;
+            assert!(
+                rejection(&high).contains("non-zero high half"),
+                "byte {byte}"
+            );
+        }
+
+        // A hand-built version-1 checkpoint (FNV-1a trailer) is refused
+        // for its version, not decoded or blamed on corruption.
+        let mut v1 = CHECKPOINT_MAGIC.to_vec();
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&7u64.to_le_bytes());
+        v1.extend_from_slice(b"payload");
+        let digest = fnv1a(&v1);
+        v1.extend_from_slice(&digest.to_le_bytes());
+        assert!(rejection(&v1).contains("unsupported version 1 "));
 
         // A corrupt length cannot demand a giant allocation.
         let mut w = Writer::new();

@@ -173,12 +173,18 @@ impl<S: Storage> JournaledEngine<S> {
         schemes: Vec<CompressionOption>,
         fresh: impl FnOnce() -> Result<ServeEngine, ServeError>,
     ) -> Result<(Self, RecoveryReport), ServeError> {
+        // Validation is a full restore. The journal stops at the first
+        // snapshot that validates, so the engine left here after the walk
+        // is the survivor's (and `None` exactly when none survived): it is
+        // kept, not rebuilt.
+        let mut restored = None;
         let recovered = Journal::recover(storage, cfg, |state| {
-            ServeEngine::restore(catalog.clone(), schemes.clone(), state).is_ok()
+            restored = ServeEngine::restore(catalog.clone(), schemes.clone(), state).ok();
+            restored.is_some()
         })?;
         let started_fresh = recovered.state.is_none();
-        let mut engine = match &recovered.state {
-            Some(state) => ServeEngine::restore(catalog, schemes, state)?,
+        let mut engine = match restored {
+            Some(engine) => engine,
             None => fresh()?,
         };
         for record in &recovered.tail {
@@ -225,6 +231,10 @@ mod tests {
     }
 
     fn build_engine() -> ServeEngine {
+        build_engine_with(schemes())
+    }
+
+    fn build_engine_with(schemes: Vec<CompressionOption>) -> ServeEngine {
         let config = ServeConfig {
             horizon_days: HORIZON_DAYS,
             horizon_months: f64::from(HORIZON_DAYS) / 30.0,
@@ -232,7 +242,7 @@ mod tests {
             ..ServeConfig::default()
         };
         let mut engine =
-            ServeEngine::new(TierCatalog::azure_hot_cool_archive(), schemes(), config).unwrap();
+            ServeEngine::new(TierCatalog::azure_hot_cool_archive(), schemes, config).unwrap();
         for i in 0..12u32 {
             engine
                 .register(ServeObject::new(
@@ -404,6 +414,43 @@ mod tests {
         let (j2, report) = recover_mem(storage);
         assert_eq!(report.marker, 1, "recovered from the older checkpoint");
         assert_eq!(report.wal.quarantined_checkpoints.len(), 1);
+        assert_eq!(report.resume_deliveries, 5);
+        assert_eq!(report.replayed, 2);
+        assert_eq!(j2.engine().checkpoint(), plain_after(5).checkpoint());
+    }
+
+    #[test]
+    fn an_engine_invalid_newest_checkpoint_walks_back_to_the_restored_survivor() {
+        let mut j = journaled();
+        for seq in 0..3 {
+            j.ingest_sequenced(seq, &batch(seq, 6)).unwrap();
+        }
+        j.sync().unwrap();
+        j.checkpoint_durable(1).unwrap();
+        for seq in 3..5 {
+            j.ingest_sequenced(seq, &batch(seq, 6)).unwrap();
+        }
+        j.sync().unwrap();
+        // The newest checkpoint passes every frame check but holds a
+        // snapshot taken under other schemes: restore rejects it, so
+        // recovery must fall back to (and keep) the older survivor.
+        let mut foreign = build_engine_with(vec![CompressionOption::none()]);
+        for seq in 0..5 {
+            foreign.ingest_sequenced(seq, &batch(seq, 6)).unwrap();
+        }
+        j.journal
+            .publish_checkpoint(&foreign.checkpoint(), 2)
+            .unwrap();
+        let mut storage = j.crash();
+        storage.crash();
+        let (j2, report) = recover_mem(storage);
+        assert_eq!(report.marker, 1, "recovered from the older checkpoint");
+        assert!(!report.started_fresh);
+        assert_eq!(report.wal.quarantined_checkpoints.len(), 1);
+        assert_eq!(
+            report.wal.quarantined_checkpoints[0].0,
+            scope_wal::checkpoint_name(2)
+        );
         assert_eq!(report.resume_deliveries, 5);
         assert_eq!(report.replayed, 2);
         assert_eq!(j2.engine().checkpoint(), plain_after(5).checkpoint());

@@ -1,8 +1,9 @@
 //! CRC-32 (IEEE 802.3 polynomial), implemented from scratch.
 //!
 //! The journal frames every record and checkpoint with this checksum so
-//! torn writes and bit flips are detected at read time. Table-driven
-//! (slicing-by-8), reflected form with the standard `0xEDB88320`
+//! torn writes and bit flips are detected at read time, and the serving
+//! engine's checkpoint trailer uses the same function. Table-driven
+//! (slicing-by-16), reflected form with the standard `0xEDB88320`
 //! polynomial — the same parameters as zlib's `crc32`, so the well-known
 //! check value `crc32(b"123456789") == 0xCBF4_3926` pins the
 //! implementation.
@@ -10,15 +11,18 @@
 /// The reflected IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;
 
-/// Slicing-by-8 lookup tables, built at compile time. `TABLES[0]` is
-/// the classic byte-indexed table; `TABLES[k][b]` is the contribution of
-/// byte value `b` sitting `k` positions deep in an 8-byte chunk, so
-/// eight bytes fold into the state with eight independent lookups
-/// instead of an eight-step dependency chain.
-static TABLES: [[u32; 256]; 8] = build_tables();
+/// Bytes folded per step of the sliced loop.
+const SLICE: usize = 16;
 
-const fn build_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
+/// Slicing-by-16 lookup tables (16 KiB), built at compile time.
+/// `TABLES[0]` is the classic byte-indexed table; `TABLES[k][b]` is the
+/// contribution of byte value `b` sitting `k` positions before the end
+/// of a 16-byte chunk, so sixteen bytes fold into the state with sixteen
+/// independent lookups instead of a sixteen-step dependency chain.
+static TABLES: [[u32; 256]; SLICE] = build_tables();
+
+const fn build_tables() -> [[u32; 256]; SLICE] {
+    let mut tables = [[0u32; 256]; SLICE];
     let mut i = 0usize;
     while i < 256 {
         let mut crc = i as u32;
@@ -35,7 +39,7 @@ const fn build_tables() -> [[u32; 256]; 8] {
         i += 1;
     }
     let mut k = 1usize;
-    while k < 8 {
+    while k < SLICE {
         let mut i = 0usize;
         while i < 256 {
             let prev = tables[k - 1][i];
@@ -52,20 +56,28 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     update(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF
 }
 
-/// Fold `bytes` into a running (pre-inverted) CRC state: 8-byte chunks
+/// Fold `bytes` into a running (pre-inverted) CRC state: 16-byte chunks
 /// through the sliced tables, the remainder byte-at-a-time.
 fn update(mut state: u32, bytes: &[u8]) -> u32 {
-    let mut chunks = bytes.chunks_exact(8);
+    let mut chunks = bytes.chunks_exact(SLICE);
     for chunk in &mut chunks {
         let lo = state ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        state = TABLES[7][(lo & 0xFF) as usize]
-            ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
-            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
-            ^ TABLES[4][(lo >> 24) as usize]
-            ^ TABLES[3][chunk[4] as usize]
-            ^ TABLES[2][chunk[5] as usize]
-            ^ TABLES[1][chunk[6] as usize]
-            ^ TABLES[0][chunk[7] as usize];
+        state = TABLES[15][(lo & 0xFF) as usize]
+            ^ TABLES[14][((lo >> 8) & 0xFF) as usize]
+            ^ TABLES[13][((lo >> 16) & 0xFF) as usize]
+            ^ TABLES[12][(lo >> 24) as usize]
+            ^ TABLES[11][chunk[4] as usize]
+            ^ TABLES[10][chunk[5] as usize]
+            ^ TABLES[9][chunk[6] as usize]
+            ^ TABLES[8][chunk[7] as usize]
+            ^ TABLES[7][chunk[8] as usize]
+            ^ TABLES[6][chunk[9] as usize]
+            ^ TABLES[5][chunk[10] as usize]
+            ^ TABLES[4][chunk[11] as usize]
+            ^ TABLES[3][chunk[12] as usize]
+            ^ TABLES[2][chunk[13] as usize]
+            ^ TABLES[1][chunk[14] as usize]
+            ^ TABLES[0][chunk[15] as usize];
     }
     for &b in chunks.remainder() {
         state = (state >> 8) ^ TABLES[0][((state ^ u32::from(b)) & 0xFF) as usize];
@@ -110,12 +122,14 @@ mod tests {
         let data: Vec<u8> = (0..1024u32)
             .map(|i| (i.wrapping_mul(167) >> 3) as u8)
             .collect();
-        for len in (0..64).chain([255, 256, 257, 1000, 1024]) {
-            assert_eq!(
-                crc32(&data[..len]),
-                crc32_bitwise(&data[..len]),
-                "len {len}"
-            );
+        // Every length up to five chunks covers each remainder 0..16
+        // after zero to five sliced steps; each start offset below one
+        // chunk shifts the same data against every alignment.
+        for start in 0..SLICE {
+            for len in (0..=80).chain([255, 256, 257, 1000]) {
+                let span = &data[start..start + len];
+                assert_eq!(crc32(span), crc32_bitwise(span), "start {start} len {len}");
+            }
         }
     }
 

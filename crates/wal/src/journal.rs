@@ -55,8 +55,8 @@
 
 use crate::error::WalError;
 use crate::record::{
-    decode_frame, encode_epoch_record, encode_record, CheckpointFrame, FrameOutcome, Record,
-    RecordPayload,
+    decode_frame, encode_checkpoint_frame, encode_epoch_record, encode_record, CheckpointFrame,
+    FrameOutcome, Record, RecordPayload,
 };
 use crate::storage::Storage;
 use scope_cloudsim::EventColumns;
@@ -276,14 +276,9 @@ impl<S: Storage> Journal<S> {
     /// recovery.
     pub fn publish_checkpoint(&mut self, state: &[u8], marker: u64) -> Result<(), WalError> {
         let new_ordinal = self.active + 1;
-        let frame = CheckpointFrame {
-            replay_from: new_ordinal,
-            deliveries: self.appended,
-            marker,
-            state: state.to_vec(),
-        };
+        let frame = encode_checkpoint_frame(new_ordinal, self.appended, marker, state);
         self.storage
-            .write_atomic(&checkpoint_name(new_ordinal), &frame.encode())?;
+            .write_atomic(&checkpoint_name(new_ordinal), &frame)?;
         self.active = new_ordinal;
         self.active_records = 0;
         self.retire()
@@ -680,6 +675,18 @@ mod tests {
             .filter_map(|n| parse_checkpoint_name(n))
             .collect();
         assert_eq!(ckpts.len(), 2);
+        // Publishing from a borrowed state writes the frame's own bytes.
+        let newest = ckpts[1];
+        let expected = CheckpointFrame {
+            replay_from: newest,
+            deliveries: 15,
+            marker: 5,
+            state: b"state-4".to_vec(),
+        };
+        assert_eq!(
+            j.storage().read(&checkpoint_name(newest)).unwrap(),
+            expected.encode()
+        );
         let floor = ckpts[0];
         assert!(names
             .iter()

@@ -305,20 +305,32 @@ pub struct CheckpointFrame {
     pub state: Vec<u8>,
 }
 
+/// Serialize a checkpoint frame (magic, version, metadata, state, CRC)
+/// straight from a borrowed `state`, so publishing a snapshot copies it
+/// once, into the frame.
+pub(crate) fn encode_checkpoint_frame(
+    replay_from: u64,
+    deliveries: u64,
+    marker: u64,
+    state: &[u8],
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(4 + 4 + 8 * 4 + state.len() + 4);
+    out.extend_from_slice(CHECKPOINT_MAGIC);
+    out.extend_from_slice(&CHECKPOINT_FRAME_VERSION.to_le_bytes());
+    out.extend_from_slice(&replay_from.to_le_bytes());
+    out.extend_from_slice(&deliveries.to_le_bytes());
+    out.extend_from_slice(&marker.to_le_bytes());
+    out.extend_from_slice(&(state.len() as u64).to_le_bytes());
+    out.extend_from_slice(state);
+    let crc = crc32(&out);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out
+}
+
 impl CheckpointFrame {
     /// Serialize the frame: magic, version, metadata, state, CRC.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4 + 4 + 8 * 4 + self.state.len() + 4);
-        out.extend_from_slice(CHECKPOINT_MAGIC);
-        out.extend_from_slice(&CHECKPOINT_FRAME_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.replay_from.to_le_bytes());
-        out.extend_from_slice(&self.deliveries.to_le_bytes());
-        out.extend_from_slice(&self.marker.to_le_bytes());
-        out.extend_from_slice(&(self.state.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.state);
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        encode_checkpoint_frame(self.replay_from, self.deliveries, self.marker, &self.state)
     }
 
     /// Parse and validate a frame read back from storage.
